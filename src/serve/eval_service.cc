@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <optional>
 
 #include "cq/evaluation.h"
-#include "serve/shard_protocol.h"
-#include "serve/wire_format.h"
 #include "util/check.h"
-#include "util/hash.h"
 
 namespace featsep {
 namespace serve {
@@ -31,8 +27,7 @@ std::size_t EvalService::CacheKeyHash::operator()(const CacheKey& key) const {
 
 namespace {
 
-/// The retry policy both durable tiers (disk cache + shard protocol) run
-/// under, built from the serve knobs.
+/// The retry policy the disk tier runs under, built from the serve knobs.
 RetryPolicy DurableRetryPolicy(const ServeOptions& options) {
   RetryPolicy retry;
   retry.max_attempts = std::max(1, options.disk_retry_attempts);
@@ -148,79 +143,6 @@ void EvalService::CachePut(CacheKey key,
   }
 }
 
-bool EvalService::ResolveMissesSharded(std::vector<Miss>& misses,
-                                       const Database& db,
-                                       const std::vector<Value>& entities) {
-  // One job directory per batch, unique to this process and call so two
-  // coordinators can never entangle lifecycles (the shared disk cache is
-  // where cross-process reuse happens; the job dir is scratch).
-  static std::atomic<std::uint64_t> job_counter{0};
-  std::vector<std::string> feature_strings;
-  feature_strings.reserve(misses.size());
-  std::uint64_t job_key = Fnv1a64U64(kFnv64OffsetBasis, db.ContentDigest());
-  for (const Miss& miss : misses) {
-    feature_strings.push_back(miss.key.second);
-    job_key = Fnv1a64String(job_key, miss.key.second);
-  }
-  job_key = Fnv1a64U64(job_key, job_counter.fetch_add(1));
-#ifndef _WIN32
-  job_key = Fnv1a64U64(job_key, static_cast<std::uint64_t>(::getpid()));
-#endif
-  const std::string job_dir =
-      (std::filesystem::path(options_.shard_dir) /
-       ("job-" + wire::DigestHex(job_key)))
-          .string();
-
-  FsEnv* env = options_.fs_env.get();
-  Result<std::size_t> published =
-      PublishShardJob(job_dir, db, feature_strings,
-                      std::max<std::size_t>(1, options_.entity_block),
-                      options_.cache_dir, env);
-  if (!published.ok()) return false;
-
-  ShardJob job;
-  job.db = &db;
-  job.env = env;
-  job.retry = DurableRetryPolicy(options_);
-  for (const Miss& miss : misses) {
-    job.features.push_back(miss.evaluator->query());
-  }
-  job.feature_strings = std::move(feature_strings);
-  job.digest = db.ContentDigest();
-  job.entity_block = std::max<std::size_t>(1, options_.entity_block);
-  job.cache_dir = options_.cache_dir;
-  job.entities = entities;
-
-  ShardCoordinatorOptions coordinator;
-  coordinator.lease = options_.shard_lease;
-  Result<ShardMergeResult> merged =
-      CoordinateShardJob(job_dir, job, coordinator);
-  if (!merged.ok()) return false;
-  for (std::size_t m = 0; m < misses.size(); ++m) {
-    misses[m].flags = std::move(merged.value().flags[m]);
-  }
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    ++stats_.shard_jobs;
-    stats_.local_shards += merged.value().local_shards;
-    stats_.remote_shards += merged.value().remote_shards;
-    stats_.reclaimed_leases += merged.value().reclaimed_leases;
-    stats_.quarantined_shards += merged.value().quarantined_shards;
-    stats_.shard_corrupt_results += merged.value().corrupt_results;
-    const ShardIoStats& io = merged.value().io;
-    stats_.shard_claim_races += io.claim_races;
-    stats_.shard_claim_errors += io.claim_errors;
-    stats_.shard_requeue_failures += io.requeue_failures;
-    stats_.shard_io_retries += io.io_retries;
-    stats_.shard_io_give_ups += io.io_give_ups;
-  }
-  // The job directory is scratch; reclaim the space once merged. Workers
-  // see the done marker vanish with the directory and move on.
-  std::error_code ec;
-  std::filesystem::remove_all(job_dir, ec);
-  return true;
-}
-
 std::vector<std::shared_ptr<const FeatureAnswer>> EvalService::Resolve(
     const std::vector<ConjunctiveQuery>& features, const Database& db,
     ExecutionBudget* budget) {
@@ -274,9 +196,8 @@ std::vector<std::shared_ptr<const FeatureAnswer>> EvalService::Resolve(
   if (misses.empty()) return answers;
 
   // Sharded evaluation of the misses: (feature × entity-block) work items
-  // on the persistent pool — or, in shard-dir mode, published to the
-  // multi-process protocol. Each item writes disjoint flag slots, so the
-  // result is bit-identical for every shard count and worker mix.
+  // on the persistent pool. Each item writes disjoint flag slots, so the
+  // result is bit-identical for every shard count.
   const std::vector<Value> entities = db.Entities();
   const std::size_t block = std::max<std::size_t>(1, options_.entity_block);
   const std::size_t blocks_per_feature = (entities.size() + block - 1) / block;
@@ -289,38 +210,31 @@ std::vector<std::shared_ptr<const FeatureAnswer>> EvalService::Resolve(
   // one feature may trip concurrently. C++20 value-initializes the atomics.
   std::vector<std::atomic<bool>> incomplete(misses.size());
   std::atomic<std::uint64_t> cancelled{0};
-  // Budgeted requests stay in-process: a deadline cannot cancel work that
-  // other processes already claimed, and an aborted shard must never leak
-  // into the durable tiers.
-  const bool sharded = !options_.shard_dir.empty() && budget == nullptr &&
-                       ResolveMissesSharded(misses, db, entities);
-  if (!sharded) {
-    pool_.ParallelFor(
-        misses.size() * blocks_per_feature, [&](std::size_t task) {
-          const std::size_t m = task / blocks_per_feature;
-          Miss& miss = misses[m];
-          // Queued shards of an abandoned request bail at dispatch — this is
-          // what bounds cancellation latency to one in-flight kernel step per
-          // worker.
-          if (budget != nullptr && budget->Interrupted()) {
+  pool_.ParallelFor(
+      misses.size() * blocks_per_feature, [&](std::size_t task) {
+        const std::size_t m = task / blocks_per_feature;
+        Miss& miss = misses[m];
+        // Queued shards of an abandoned request bail at dispatch — this is
+        // what bounds cancellation latency to one in-flight kernel step per
+        // worker.
+        if (budget != nullptr && budget->Interrupted()) {
+          incomplete[m].store(true, std::memory_order_relaxed);
+          cancelled.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+        std::size_t begin = (task % blocks_per_feature) * block;
+        std::size_t end = std::min(begin + block, entities.size());
+        for (std::size_t e = begin; e < end; ++e) {
+          std::optional<bool> selects =
+              miss.evaluator->TrySelectsEntity(db, entities[e], budget);
+          if (!selects.has_value()) {
             incomplete[m].store(true, std::memory_order_relaxed);
             cancelled.fetch_add(1, std::memory_order_relaxed);
             return;
           }
-          std::size_t begin = (task % blocks_per_feature) * block;
-          std::size_t end = std::min(begin + block, entities.size());
-          for (std::size_t e = begin; e < end; ++e) {
-            std::optional<bool> selects =
-                miss.evaluator->TrySelectsEntity(db, entities[e], budget);
-            if (!selects.has_value()) {
-              incomplete[m].store(true, std::memory_order_relaxed);
-              cancelled.fetch_add(1, std::memory_order_relaxed);
-              return;
-            }
-            miss.flags[e] = *selects ? 1 : 0;
-          }
-        });
-  }
+          miss.flags[e] = *selects ? 1 : 0;
+        }
+      });
 
   std::uint64_t evaluated = 0;
   for (std::size_t m = 0; m < misses.size(); ++m) {

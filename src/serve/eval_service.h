@@ -41,16 +41,6 @@ struct ServeOptions {
   /// written behind after fresh evaluations. Shared safely between
   /// processes and across restarts; empty disables the disk tier.
   std::string cache_dir;
-  /// Shared work directory for multi-process sharded evaluation
-  /// (serve/shard_protocol.h): cache misses are published as shard jobs
-  /// here and evaluated cooperatively by this process and any
-  /// `featsep_worker` processes attached to the same directory, with
-  /// results merged bit-identically to the in-process path. Empty disables
-  /// shard mode. Budgeted (TryResolve) requests always evaluate in-process.
-  std::string shard_dir;
-  /// Shard-mode lease: a shard claimed by a worker that died is reclaimed
-  /// and re-run after this long.
-  std::chrono::milliseconds shard_lease{10000};
   /// Delta maintenance policy (serve/incremental.h). True: after a database
   /// mutation, warm cache entries are *patched* in place — only entities the
   /// delta can affect are re-evaluated — and re-published under the new
@@ -63,9 +53,8 @@ struct ServeOptions {
   /// this, EvalService opportunistically sweeps oldest-mtime entries after
   /// write-behind (DiskResultCache::Sweep). 0 = unlimited, never sweep.
   std::uint64_t disk_cache_max_bytes = 0;
-  /// Filesystem backend for the durable tiers (disk cache + shard
-  /// protocol); null = the real filesystem. Tests and the crashio fuzzer
-  /// inject a FaultFsEnv here.
+  /// Filesystem backend for the disk tier; null = the real filesystem.
+  /// Tests and the crashio fuzzer inject a FaultFsEnv here.
   std::shared_ptr<FsEnv> fs_env;
   /// Retry policy for transient disk-tier faults: total attempts per
   /// store/load/remove (1 = no retry) and the backoff before each retry
@@ -120,20 +109,6 @@ struct ServeStats {
   /// Disk operations skipped because the breaker was open (served from
   /// LRU + compute instead; answers unaffected).
   std::uint64_t breaker_short_circuits = 0;
-  // Shard mode (zero unless ServeOptions::shard_dir is set).
-  std::uint64_t shard_jobs = 0;          ///< Miss batches published as jobs.
-  std::uint64_t local_shards = 0;        ///< Shards this process evaluated.
-  std::uint64_t remote_shards = 0;       ///< Shards merged from workers.
-  std::uint64_t reclaimed_leases = 0;    ///< Dead-worker shards re-queued.
-  /// Shards pulled out of the protocol after repeated failures and
-  /// evaluated in-memory by the coordinator (answers unaffected).
-  std::uint64_t quarantined_shards = 0;
-  std::uint64_t shard_corrupt_results = 0;  ///< Dropped, never trusted.
-  std::uint64_t shard_claim_races = 0;
-  std::uint64_t shard_claim_errors = 0;
-  std::uint64_t shard_requeue_failures = 0;
-  std::uint64_t shard_io_retries = 0;
-  std::uint64_t shard_io_give_ups = 0;
 };
 
 /// The answer set q(D) ∩ η(D) of one feature query, content-addressed: the
@@ -270,13 +245,6 @@ class EvalService {
   std::vector<std::shared_ptr<const FeatureAnswer>> Resolve(
       const std::vector<ConjunctiveQuery>& features, const Database& db,
       ExecutionBudget* budget);
-
-  /// Evaluates the misses via the multi-process shard protocol
-  /// (options_.shard_dir), filling each miss's flags; returns false (and
-  /// leaves flags untouched) if publishing failed, in which case the
-  /// caller falls back to the in-process pool.
-  bool ResolveMissesSharded(std::vector<Miss>& misses, const Database& db,
-                            const std::vector<Value>& entities);
 
   std::shared_ptr<const FeatureAnswer> CacheGet(const CacheKey& key);
   void CachePut(CacheKey key, std::shared_ptr<const FeatureAnswer> answer);

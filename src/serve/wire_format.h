@@ -12,11 +12,10 @@ namespace featsep {
 namespace serve {
 namespace wire {
 
-/// Helpers shared by the persistent serve formats (disk cache entries,
-/// shard jobs, shard results — DESIGN.md §13). Every format is line
-/// structured with length-prefixed strings and ends with a `checksum
-/// <hex16>` line whose FNV-1a-64 covers every byte before that line.
-/// Parsing fails softly: truncated or corrupt bytes surface as a false
+/// Helpers for the persistent serve format (disk cache entries, DESIGN.md
+/// §13). It is line structured with length-prefixed strings and ends with a
+/// `checksum <hex16>` line whose FNV-1a-64 covers every byte before that
+/// line. Parsing fails softly: truncated or corrupt bytes surface as a false
 /// return, never a crash or over-read.
 
 /// Sequential reader over format bytes.
@@ -60,9 +59,10 @@ inline bool ParseU64(std::string_view token, std::uint64_t* out,
     } else {
       return false;
     }
-    std::uint64_t next = value * static_cast<std::uint64_t>(base) + d;
-    if (next < value) return false;  // Overflow.
-    value = next;
+    if (value > (UINT64_MAX - d) / static_cast<std::uint64_t>(base)) {
+      return false;  // value * base + d would overflow.
+    }
+    value = value * static_cast<std::uint64_t>(base) + d;
   }
   *out = value;
   return true;

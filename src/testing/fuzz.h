@@ -56,11 +56,11 @@ enum class FuzzConfig {
   kCrashIo,      ///< Crash-recovery fuzzing of the durable tier: seeded
                  ///< filesystem fault schedules (EIO/ENOSPC, torn writes,
                  ///< partial scans, kill-at-a-random-I/O-point then recover)
-                 ///< against the disk cache, the breaker-gated EvalService,
-                 ///< and the shard protocol. Corrupt or torn entries are
-                 ///< never trusted, completed answers stay bit-identical to
-                 ///< the serial oracle, no shard job is lost, and serving
-                 ///< keeps working (degraded) while the disk is sick.
+                 ///< against the disk cache and the breaker-gated
+                 ///< EvalService. Corrupt or torn entries are never
+                 ///< trusted, completed answers stay bit-identical to the
+                 ///< serial oracle, and serving keeps working (degraded)
+                 ///< while the disk is sick.
   kMixed,        ///< Per-iteration uniform choice among the above (kFaults,
                  ///< kServe, kIncremental, and kCrashIo excluded — they
                  ///< re-run the engines several times per instance / spin up

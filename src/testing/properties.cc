@@ -32,7 +32,6 @@
 #include "serve/async_service.h"
 #include "serve/eval_service.h"
 #include "serve/incremental.h"
-#include "serve/shard_protocol.h"
 #include "workload/generators.h"
 #include "testing/reference_ghw.h"
 #include "testing/reference_hom.h"
@@ -1742,89 +1741,6 @@ PropertyCheck CheckCrashIoProperties(const Database& db,
       if (!tmp_left.entries.empty()) {
         return Violation("crashio/recovery-tmp-orphans",
                          describe("leg C", "tmp files survived startup GC"));
-      }
-    }
-
-    // Leg D — a shard job: a faulted worker runs partway and "dies", then
-    // a fresh coordinator over a clean filesystem drives the job to a
-    // bit-identical merge (quarantining poison shards if needed); a
-    // fault-free control job quarantines nothing.
-    {
-      const std::string job_dir = (root / "d" / "job").string();
-      Result<std::size_t> published = serve::PublishShardJob(
-          job_dir, db, feature_strings, /*entity_block=*/2,
-          /*cache_dir=*/std::string());
-      if (!published.ok()) {
-        return Violation("crashio/shard-publish-failed",
-                         describe("leg D", published.error().message()));
-      }
-      FaultFsOptions worker_fault;
-      worker_fault.seed = rng.Next() | 1;
-      worker_fault.fail_chance = 0.15;
-      worker_fault.torn_write_chance = 0.3;
-      worker_fault.crash_after_ops = 20 + rng.Below(60);
-      FaultFsEnv worker_env(worker_fault);
-      Result<serve::ShardJob> worker_job =
-          serve::LoadShardJob(job_dir, &worker_env);
-      if (worker_job.ok()) {
-        serve::ShardWorkerOptions worker_options;
-        worker_options.max_shards = 1 + rng.Below(4);
-        worker_options.poll = std::chrono::milliseconds(0);
-        // The worker may give up or "die" mid-job; either is the point.
-        (void)serve::WorkOnShardJob(job_dir, worker_job.value(),
-                                    worker_options);
-      }
-
-      Result<serve::ShardJob> coordinator_job = serve::LoadShardJob(job_dir);
-      if (!coordinator_job.ok()) {
-        return Violation("crashio/shard-reload-failed",
-                         describe("leg D", coordinator_job.error().message()));
-      }
-      serve::ShardCoordinatorOptions coordinator;
-      coordinator.lease = std::chrono::milliseconds(0);  // Worker is "dead".
-      coordinator.poll = std::chrono::milliseconds(0);
-      coordinator.quarantine_after = 2;
-      Result<serve::ShardMergeResult> merged =
-          serve::CoordinateShardJob(job_dir, coordinator_job.value(),
-                                    coordinator);
-      if (!merged.ok()) {
-        return Violation("crashio/shard-merge-failed",
-                         describe("leg D", merged.error().message()));
-      }
-      for (std::size_t f = 0; f < features.size(); ++f) {
-        for (std::size_t e = 0; e < entities.size(); ++e) {
-          const char expected =
-              truth[f]->Selects(db, entities[e]) ? 1 : 0;
-          if (merged.value().flags[f][e] != expected) {
-            return Violation("crashio/shard-merge-mismatch",
-                             describe("leg D", feature_strings[f]));
-          }
-        }
-      }
-      if (!serve::ShardJobDone(job_dir)) {
-        return Violation("crashio/shard-not-done",
-                         describe("leg D", "done marker missing after merge"));
-      }
-
-      // Fault-free control: nothing may be quarantined when nothing fails.
-      const std::string clean_dir = (root / "d" / "clean").string();
-      Result<std::size_t> clean_published = serve::PublishShardJob(
-          clean_dir, db, feature_strings, /*entity_block=*/2,
-          /*cache_dir=*/std::string());
-      if (clean_published.ok()) {
-        Result<serve::ShardJob> clean_job = serve::LoadShardJob(clean_dir);
-        if (clean_job.ok()) {
-          Result<serve::ShardMergeResult> clean_merged =
-              serve::CoordinateShardJob(clean_dir, clean_job.value(),
-                                        coordinator);
-          if (!clean_merged.ok() ||
-              clean_merged.value().quarantined_shards != 0 ||
-              clean_merged.value().corrupt_results != 0) {
-            return Violation(
-                "crashio/quarantine-false-positive",
-                describe("leg D", "fault-free job quarantined shards"));
-          }
-        }
       }
     }
     return std::nullopt;

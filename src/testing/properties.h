@@ -211,12 +211,7 @@ PropertyCheck CheckIncrementalProperties(const Database& db,
 ///   - crash mid-publish: killing the environment at an arbitrary op and
 ///     recovering with a fresh cache over the same directory never yields a
 ///     half-visible entry — every post-recovery load is a miss or the exact
-///     stored answer, and orphaned tmp files are collected;
-///   - shard jobs under faults: a coordinator driving a faulted job (with a
-///     partially-run worker whose process "died" mid-job) still merges
-///     every feature bit-identical to serial — shards that keep failing are
-///     quarantined and evaluated in-memory, no shard is lost, and with a
-///     fault-free environment nothing is quarantined.
+///     stored answer, and orphaned tmp files are collected.
 PropertyCheck CheckCrashIoProperties(const Database& db,
                                      std::uint64_t fault_seed,
                                      std::size_t num_ops);

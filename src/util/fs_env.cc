@@ -50,7 +50,7 @@ FsStatus RealFsEnv::Rename(const std::string& from, const std::string& to) {
   std::error_code ec;
   fs::rename(from, to, ec);
   if (!ec) return FsStatus::kOk;
-  // A missing source is the signature of a lost claim race, not a fault.
+  // A missing source is a miss, not a fault.
   if (ec == std::errc::no_such_file_or_directory) return FsStatus::kNotFound;
   return FsStatus::kError;
 }
@@ -104,26 +104,6 @@ FsListResult RealFsEnv::ListDir(const std::string& path) {
     }
   }
   return result;
-}
-
-FsStatus RealFsEnv::Touch(const std::string& path) {
-  std::error_code ec;
-  fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-  if (!ec) return FsStatus::kOk;
-  if (ec == std::errc::no_such_file_or_directory) return FsStatus::kNotFound;
-  return FsStatus::kError;
-}
-
-std::optional<fs::file_time_type> RealFsEnv::Mtime(const std::string& path) {
-  std::error_code ec;
-  fs::file_time_type mtime = fs::last_write_time(path, ec);
-  if (ec) return std::nullopt;
-  return mtime;
-}
-
-bool RealFsEnv::Exists(const std::string& path) {
-  std::error_code ec;
-  return fs::exists(path, ec);
 }
 
 FsEnv* RealFs() {
@@ -288,30 +268,6 @@ FsListResult FaultFsEnv::ListDir(const std::string& path) {
   FsListResult result;
   result.status = FsStatus::kError;
   return result;
-}
-
-FsStatus FaultFsEnv::Touch(const std::string& path) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (Inject(FsOp::kTouch)) return FsStatus::kError;
-  }
-  return base_->Touch(path);
-}
-
-std::optional<fs::file_time_type> FaultFsEnv::Mtime(const std::string& path) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (Inject(FsOp::kStat)) return std::nullopt;
-  }
-  return base_->Mtime(path);
-}
-
-bool FaultFsEnv::Exists(const std::string& path) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (Inject(FsOp::kStat)) return false;
-  }
-  return base_->Exists(path);
 }
 
 }  // namespace featsep

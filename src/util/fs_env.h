@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,11 +12,11 @@
 namespace featsep {
 
 /// Outcome of one filesystem operation. The three-way split matters: a
-/// kNotFound is a *miss* (the path simply is not there — losing a claim
-/// race, a cold cache), while kError is a *fault* (EIO, ENOSPC, permission,
-/// injected) that may be transient and is what retry policies and the disk
-/// circuit breaker key on. Collapsing the two is exactly the bug class this
-/// interface exists to eliminate.
+/// kNotFound is a *miss* (the path simply is not there — a cold cache, an
+/// entry another process already removed), while kError is a *fault* (EIO,
+/// ENOSPC, permission, injected) that may be transient and is what retry
+/// policies and the disk circuit breaker key on. Collapsing the two is
+/// exactly the bug class this interface exists to eliminate.
 enum class FsStatus : std::uint8_t {
   kOk = 0,
   kNotFound,
@@ -33,8 +32,8 @@ inline const char* FsStatusName(FsStatus status) {
   return "?";
 }
 
-/// One entry of a directory listing, with the metadata the durable tier's
-/// scans need (GC by size/age, lease staleness by mtime).
+/// One entry of a directory listing, with the metadata the disk tier's
+/// scans need (GC by size and age).
 struct FsDirEntry {
   std::string name;  ///< Filename only, no directory part.
   std::uint64_t size = 0;
@@ -60,17 +59,15 @@ enum class FsOp : std::uint8_t {
   kRemove,
   kCreateDirs,
   kList,
-  kTouch,
-  kStat,  ///< Mtime() and Exists().
 };
-inline constexpr std::size_t kNumFsOps = 8;
+inline constexpr std::size_t kNumFsOps = 6;
 
 /// Narrow, injectable filesystem interface for the durable tier. Every
-/// read/publish/claim/lease/GC path in disk_cache, shard_protocol and the
-/// serve layer goes through one of these instead of raw <filesystem>, so a
-/// deterministic fault-injecting backend (FaultFsEnv) can exercise every
-/// error branch the real kernel would only produce under ENOSPC, EIO, or a
-/// kill at the worst possible instant. Implementations are thread-safe.
+/// read/publish/GC path in disk_cache and the serve layer goes through one
+/// of these instead of raw <filesystem>, so a deterministic fault-injecting
+/// backend (FaultFsEnv) can exercise every error branch the real kernel
+/// would only produce under ENOSPC, EIO, or a kill at the worst possible
+/// instant. Implementations are thread-safe.
 class FsEnv {
  public:
   virtual ~FsEnv() = default;
@@ -81,18 +78,13 @@ class FsEnv {
   /// anything another process may read concurrently.
   virtual FsStatus WriteFile(const std::string& path,
                              std::string_view bytes) = 0;
-  /// Atomic rename. kNotFound when `from` does not exist (a lost claim
-  /// race, not a fault).
+  /// Atomic rename. kNotFound when `from` does not exist (a miss, not a
+  /// fault).
   virtual FsStatus Rename(const std::string& from, const std::string& to) = 0;
   /// kNotFound when the path was already absent.
   virtual FsStatus Remove(const std::string& path) = 0;
   virtual FsStatus CreateDirs(const std::string& path) = 0;
   virtual FsListResult ListDir(const std::string& path) = 0;
-  /// Sets mtime to now (lease renewal).
-  virtual FsStatus Touch(const std::string& path) = 0;
-  virtual std::optional<std::filesystem::file_time_type> Mtime(
-      const std::string& path) = 0;
-  virtual bool Exists(const std::string& path) = 0;
 
   /// The atomic publish idiom: write `bytes` to `tmp_path`, rename onto
   /// `final_path`, best-effort remove of the tmp on failure. Readers never
@@ -112,10 +104,6 @@ class RealFsEnv : public FsEnv {
   FsStatus Remove(const std::string& path) override;
   FsStatus CreateDirs(const std::string& path) override;
   FsListResult ListDir(const std::string& path) override;
-  FsStatus Touch(const std::string& path) override;
-  std::optional<std::filesystem::file_time_type> Mtime(
-      const std::string& path) override;
-  bool Exists(const std::string& path) override;
 };
 
 /// Process-wide shared RealFsEnv — the default backend wherever no
@@ -155,7 +143,7 @@ struct FaultFsStats {
 ///     that kind to fail regardless of the schedule;
 ///   - the crash point (crash_after_ops / CrashNow()): once crashed, every
 ///     operation fails until Recover().
-/// Failed reads/renames/removes/touches do nothing and report kError; failed
+/// Failed reads/renames/removes do nothing and report kError; failed
 /// writes either leave the target untouched or leave a torn prefix; failed
 /// lists either fail to open or return a truncated scan with scan_errors.
 /// All decisions come from one seeded stream, so a given (seed, op sequence)
@@ -183,10 +171,6 @@ class FaultFsEnv : public FsEnv {
   FsStatus Remove(const std::string& path) override;
   FsStatus CreateDirs(const std::string& path) override;
   FsListResult ListDir(const std::string& path) override;
-  FsStatus Touch(const std::string& path) override;
-  std::optional<std::filesystem::file_time_type> Mtime(
-      const std::string& path) override;
-  bool Exists(const std::string& path) override;
 
  private:
   /// Draws the next value of the decision stream (locked by the caller).

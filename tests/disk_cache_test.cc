@@ -18,6 +18,7 @@
 
 #include "core/statistic.h"
 #include "serve/eval_service.h"
+#include "serve/wire_format.h"
 #include "test_util.h"
 #include "util/fs_env.h"
 
@@ -118,6 +119,18 @@ TEST(DiskCacheEntryTest, EveryTruncationIsRejected) {
   EXPECT_TRUE(ParseDiskCacheEntry(bytes).ok());
   // Trailing garbage after the checksum is also corruption.
   EXPECT_FALSE(ParseDiskCacheEntry(bytes + "x").ok());
+
+  // Numeric tokens read from entry bytes reject every overflow, including
+  // the ones whose multiply wraps past the value it started from.
+  std::uint64_t value = 0;
+  EXPECT_TRUE(serve::wire::ParseU64("18446744073709551615", &value));
+  EXPECT_EQ(value, UINT64_MAX);
+  EXPECT_FALSE(serve::wire::ParseU64("18446744073709551616", &value));
+  EXPECT_FALSE(serve::wire::ParseU64("30000000000000000000", &value));
+  EXPECT_FALSE(serve::wire::ParseU64("20500000000000000000", &value));
+  EXPECT_TRUE(serve::wire::ParseU64("ffffffffffffffff", &value, 16));
+  EXPECT_EQ(value, UINT64_MAX);
+  EXPECT_FALSE(serve::wire::ParseU64("10000000000000000", &value, 16));
 }
 
 TEST(DiskCacheEntryTest, EverySingleByteFlipBreaksTheChecksum) {

@@ -39,8 +39,7 @@ TEST(RealFsEnvTest, ReadWriteRoundTrip) {
   std::string bytes;
   EXPECT_EQ(env->ReadFile(path, &bytes), FsStatus::kOk);
   EXPECT_EQ(bytes, "payload\n");
-  EXPECT_TRUE(env->Exists(path));
-  EXPECT_TRUE(env->Mtime(path).has_value());
+  EXPECT_TRUE(fs::exists(path));
 }
 
 TEST(RealFsEnvTest, MissingFileIsNotFoundNotError) {
@@ -49,9 +48,7 @@ TEST(RealFsEnvTest, MissingFileIsNotFoundNotError) {
   std::string bytes;
   EXPECT_EQ(env->ReadFile(dir + "/absent", &bytes), FsStatus::kNotFound);
   EXPECT_EQ(env->Remove(dir + "/absent"), FsStatus::kNotFound);
-  EXPECT_EQ(env->Touch(dir + "/absent"), FsStatus::kNotFound);
-  EXPECT_FALSE(env->Mtime(dir + "/absent").has_value());
-  EXPECT_FALSE(env->Exists(dir + "/absent"));
+  EXPECT_FALSE(fs::exists(dir + "/absent"));
 }
 
 TEST(RealFsEnvTest, RenameMissingSourceIsNotFound) {
@@ -63,8 +60,8 @@ TEST(RealFsEnvTest, RenameMissingSourceIsNotFound) {
             FsStatus::kNotFound);
   ASSERT_EQ(env->WriteFile(dir + "/src", "x"), FsStatus::kOk);
   EXPECT_EQ(env->Rename(dir + "/src", dir + "/dst"), FsStatus::kOk);
-  EXPECT_FALSE(env->Exists(dir + "/src"));
-  EXPECT_TRUE(env->Exists(dir + "/dst"));
+  EXPECT_FALSE(fs::exists(dir + "/src"));
+  EXPECT_TRUE(fs::exists(dir + "/dst"));
 }
 
 TEST(RealFsEnvTest, ListDirReportsEntriesWithMetadata) {
@@ -102,7 +99,7 @@ TEST(RealFsEnvTest, PublishIsAtomicAndCleansTmpOnSuccess) {
   std::string bytes;
   EXPECT_EQ(env->ReadFile(dir + "/final", &bytes), FsStatus::kOk);
   EXPECT_EQ(bytes, "bytes");
-  EXPECT_FALSE(env->Exists(dir + "/t.tmp"));
+  EXPECT_FALSE(fs::exists(dir + "/t.tmp"));
 }
 
 TEST(FaultFsEnvTest, ZeroChanceInjectsNothing) {
@@ -179,7 +176,7 @@ TEST(FaultFsEnvTest, CrashAfterOpsFailsEverythingUntilRecover) {
   EXPECT_TRUE(env.crashed());
   EXPECT_EQ(env.ReadFile(dir + "/a", &bytes), FsStatus::kError);
   EXPECT_EQ(env.ListDir(dir).status, FsStatus::kError);
-  EXPECT_FALSE(env.Exists(dir + "/a"));
+  EXPECT_EQ(env.Remove(dir + "/a"), FsStatus::kError);  // Not removed.
   // ClearFaults does not resurrect a crashed environment...
   env.ClearFaults();
   EXPECT_EQ(env.ReadFile(dir + "/a", &bytes), FsStatus::kError);

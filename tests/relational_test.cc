@@ -221,10 +221,10 @@ TEST(DatabaseDigestTest, DistinguishesContentAndTracksMutation) {
 
 TEST(DatabaseDigestTest, GoldenValuesArePinnedForever) {
   // ContentDigest() is a persistence contract: it names on-disk cache
-  // entries (serve/disk_cache.h) and authenticates shard jobs between
-  // processes (serve/shard_protocol.h), so its value for given content must
-  // never change — across processes, platforms, standard libraries, or
-  // releases of this codebase. These constants pin the explicitly specified
+  // entries (serve/disk_cache.h) that other processes and later releases
+  // read back, so its value for given content must never change — across
+  // processes, platforms, standard libraries, or releases of this
+  // codebase. These constants pin the explicitly specified
   // FNV-1a-64 format of DESIGN.md §13. If this test fails, do NOT update
   // the constants: you have broken every existing cache directory. Fix the
   // digest, or introduce an explicitly versioned successor.

@@ -25,10 +25,13 @@
 // serve config runs seeded random Submit/poll/cancel/pause interleavings
 // through the async serve front-end against the serial evaluation path as
 // oracle. The crashio config runs the durable tier (disk cache, breaker-
-// gated EvalService, shard protocol) under seeded filesystem fault
-// schedules — EIO/ENOSPC, torn writes, partial scans, kill-at-a-random-I/O-
-// point then recover — checking that corrupt entries are never trusted,
-// answers stay bit-identical to serial, and no shard job is ever lost.
+// gated EvalService) under seeded filesystem fault schedules — EIO/ENOSPC,
+// torn writes, partial scans, kill-at-a-random-I/O-point then recover —
+// checking that corrupt entries are never trusted and answers stay
+// bit-identical to serial.
+//
+// A malformed or out-of-range number for --iters or --seed prints the usage
+// text and exits 2.
 
 #include <cstdint>
 #include <cstdlib>
@@ -36,6 +39,7 @@
 #include <string>
 #include <string_view>
 
+#include "serve/wire_format.h"
 #include "testing/fuzz.h"
 
 namespace {
@@ -65,10 +69,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto next_u64 = [&]() -> std::uint64_t {
+      const char* text = next();
+      std::uint64_t value = 0;
+      if (!featsep::serve::wire::ParseU64(text, &value)) {
+        std::cerr << "bad value for " << arg << ": " << text << "\n";
+        Usage(argv[0]);
+        std::exit(2);
+      }
+      return value;
+    };
     if (arg == "--iters") {
-      options.iterations = std::strtoull(next(), nullptr, 10);
+      options.iterations = next_u64();
     } else if (arg == "--seed") {
-      options.seed = std::strtoull(next(), nullptr, 10);
+      options.seed = next_u64();
     } else if (arg == "--config") {
       const char* name = next();
       auto config = featsep::testing::ParseFuzzConfig(name);

@@ -10,7 +10,10 @@
 //                 [--dispatchers N] [--shards N] [--deadline-ms D]
 //                 [--batch-frac F] [--seed S] [--cache-dir DIR]
 //                 [--require-warm-disk]
-// A deadline of 0 means unbounded requests (nothing expires).
+// A deadline of 0 means unbounded requests (nothing expires). Numeric flags
+// are strict: a malformed or out-of-range value (a negative count, --nodes
+// 0, --batch-frac outside [0,1], a deadline above 2^31-1 ms) prints the
+// usage text and exits 2.
 //
 // --cache-dir enables the persistent on-disk result tier (DESIGN.md §13):
 // run the tool twice with the same directory and seed and the second
@@ -25,6 +28,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -33,6 +37,7 @@
 #include "cq/enumeration.h"
 #include "relational/training_database.h"
 #include "serve/async_service.h"
+#include "serve/wire_format.h"
 #include "workload/generators.h"
 
 namespace {
@@ -79,24 +84,48 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto bad_value = [&](const char* text) {
+      std::cerr << "bad value for " << arg << ": " << text << "\n";
+      Usage(argv[0]);
+      std::exit(2);
+    };
+    // A decimal integer in [min, max]; anything else is a usage error.
+    auto next_u64 = [&](std::uint64_t min = 0,
+                        std::uint64_t max =
+                            std::numeric_limits<std::size_t>::max()) {
+      const char* text = next();
+      std::uint64_t value = 0;
+      if (!featsep::serve::wire::ParseU64(text, &value) || value < min ||
+          value > max) {
+        bad_value(text);
+      }
+      return value;
+    };
     if (arg == "--requests") {
-      requests = std::strtoull(next(), nullptr, 10);
+      requests = next_u64();
     } else if (arg == "--nodes") {
-      nodes = std::strtoull(next(), nullptr, 10);
+      nodes = next_u64(/*min=*/1);
     } else if (arg == "--m") {
-      m = std::strtoull(next(), nullptr, 10);
+      m = next_u64();
     } else if (arg == "--queue") {
-      options.queue_capacity = std::strtoull(next(), nullptr, 10);
+      options.queue_capacity = next_u64();
     } else if (arg == "--dispatchers") {
-      options.num_dispatchers = std::strtoull(next(), nullptr, 10);
+      options.num_dispatchers = next_u64();
     } else if (arg == "--shards") {
-      options.serve.num_shards = std::strtoull(next(), nullptr, 10);
+      options.serve.num_shards = next_u64();
     } else if (arg == "--deadline-ms") {
-      deadline_ms = std::strtoll(next(), nullptr, 10);
+      deadline_ms = static_cast<std::int64_t>(
+          next_u64(0, std::numeric_limits<std::int32_t>::max()));
     } else if (arg == "--batch-frac") {
-      batch_frac = std::strtod(next(), nullptr);
+      const char* text = next();
+      char* end = nullptr;
+      batch_frac = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !(batch_frac >= 0.0) ||
+          !(batch_frac <= 1.0)) {
+        bad_value(text);
+      }
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = next_u64(0, std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--cache-dir") {
       options.serve.cache_dir = next();
     } else if (arg == "--require-warm-disk") {
