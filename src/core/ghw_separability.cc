@@ -86,9 +86,13 @@ std::optional<GhwClassifier> GhwClassifier::Train(
     std::shared_ptr<const TrainingDatabase> training, std::size_t k) {
   FEATSEP_CHECK(training != nullptr);
   FEATSEP_CHECK(training->IsFullyLabeled());
-  const Database& db = training->database();
-  GhwEntityStructure structure = ComputeGhwStructure(db, k);
+  GhwEntityStructure structure = ComputeGhwStructure(training->database(), k);
+  return TrainOnStructure(std::move(training), k, structure);
+}
 
+std::optional<GhwClassifier> GhwClassifier::TrainOnStructure(
+    std::shared_ptr<const TrainingDatabase> training, std::size_t k,
+    const GhwEntityStructure& structure) {
   // Separability check (Prop 5.5) and per-class labels.
   for (const std::vector<std::size_t>& cls : structure.classes) {
     for (std::size_t i = 1; i < cls.size(); ++i) {
@@ -147,11 +151,11 @@ Labeling GhwClassifier::Classify(const Database& eval) const {
   return labeling;
 }
 
-GhwRelabelResult GhwOptimalRelabel(const TrainingDatabase& training,
-                                   std::size_t k) {
-  FEATSEP_CHECK(training.IsFullyLabeled());
-  GhwEntityStructure structure =
-      ComputeGhwStructure(training.database(), k);
+namespace {
+
+/// Algorithm 2's relabeling over a precomputed →_k structure.
+GhwRelabelResult RelabelByMajority(const TrainingDatabase& training,
+                                   const GhwEntityStructure& structure) {
   GhwRelabelResult result;
   result.disagreement = 0;
   for (const std::vector<std::size_t>& cls : structure.classes) {
@@ -170,22 +174,42 @@ GhwRelabelResult GhwOptimalRelabel(const TrainingDatabase& training,
   return result;
 }
 
-bool DecideGhwApxSep(const TrainingDatabase& training, std::size_t k,
-                     double epsilon) {
+/// The ε test of Corollary 7.5 on an optimal relabeling.
+bool WithinError(const TrainingDatabase& training,
+                 const GhwRelabelResult& relabel, double epsilon) {
   FEATSEP_CHECK_GE(epsilon, 0.0);
   FEATSEP_CHECK_LT(epsilon, 1.0);
-  GhwRelabelResult relabel = GhwOptimalRelabel(training, k);
   double budget =
       epsilon * static_cast<double>(training.Entities().size());
   return static_cast<double>(relabel.disagreement) <= budget;
+}
+
+}  // namespace
+
+GhwRelabelResult GhwOptimalRelabel(const TrainingDatabase& training,
+                                   std::size_t k) {
+  FEATSEP_CHECK(training.IsFullyLabeled());
+  return RelabelByMajority(training,
+                           ComputeGhwStructure(training.database(), k));
+}
+
+bool DecideGhwApxSep(const TrainingDatabase& training, std::size_t k,
+                     double epsilon) {
+  return WithinError(training, GhwOptimalRelabel(training, k), epsilon);
 }
 
 std::optional<Labeling> GhwApxClassify(
     std::shared_ptr<const TrainingDatabase> training, std::size_t k,
     double epsilon, const Database& eval) {
   FEATSEP_CHECK(training != nullptr);
-  if (!DecideGhwApxSep(*training, k, epsilon)) return std::nullopt;
-  GhwRelabelResult relabel = GhwOptimalRelabel(*training, k);
+  FEATSEP_CHECK(training->IsFullyLabeled());
+  // One →_k structure serves the relabeling, the ε test, and training:
+  // the relabeled copy below has the same database, hence the same
+  // structure.
+  GhwEntityStructure structure =
+      ComputeGhwStructure(training->database(), k);
+  GhwRelabelResult relabel = RelabelByMajority(*training, structure);
+  if (!WithinError(*training, relabel, epsilon)) return std::nullopt;
 
   // Train on (D, λ'): λ' is GHW(k)-separable by construction (Thm 7.4).
   // Copy preserves value ids, so the labels transfer directly.
@@ -195,7 +219,7 @@ std::optional<Labeling> GhwApxClassify(
     relabeled->SetLabel(e, relabel.relabeled.Get(e));
   }
   std::optional<GhwClassifier> classifier =
-      GhwClassifier::Train(relabeled, k);
+      GhwClassifier::TrainOnStructure(relabeled, k, structure);
   FEATSEP_CHECK(classifier.has_value());
   return classifier->Classify(eval);
 }

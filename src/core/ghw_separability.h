@@ -76,6 +76,16 @@ class GhwClassifier {
   std::size_t k() const { return k_; }
 
  private:
+  friend std::optional<Labeling> GhwApxClassify(
+      std::shared_ptr<const TrainingDatabase> training, std::size_t k,
+      double epsilon, const Database& eval);
+
+  /// Train on a precomputed `structure` = ComputeGhwStructure(training's
+  /// database, k).
+  static std::optional<GhwClassifier> TrainOnStructure(
+      std::shared_ptr<const TrainingDatabase> training, std::size_t k,
+      const GhwEntityStructure& structure);
+
   GhwClassifier(std::shared_ptr<const TrainingDatabase> training,
                 std::size_t k, std::vector<Value> representatives,
                 LinearClassifier classifier)

@@ -61,9 +61,9 @@ enum class CoverageSite : std::uint16_t {
   kCoverPosition,        ///< A game position was enumerated.
   kCoverMap,             ///< A candidate strategy map was recorded.
   kCoverBaseReject,      ///< Pebble map non-functional or pure-ā fact broken.
-  kCoverPositionDead,    ///< A position lost all live strategies.
-  kCoverFixpointRound,   ///< One greatest-fixpoint sweep over all positions.
-  kCoverStrategyDeleted, ///< The fixpoint deleted ≥1 strategy of a position.
+  kCoverPositionDead,    ///< The pebble filter emptied a position.
+  kCoverFixpointRound,   ///< One step of the fixpoint worklist loop.
+  kCoverStrategyDeleted, ///< A support scan deleted ≥1 strategy.
   kCoverWin,             ///< Decide returned true.
   kCoverLose,            ///< Decide returned false (post-filter).
   // Exact simplex (src/linsep/simplex.cc).

@@ -33,6 +33,7 @@
 #include "serve/eval_service.h"
 #include "serve/incremental.h"
 #include "workload/generators.h"
+#include "testing/reference_cover_game.h"
 #include "testing/reference_ghw.h"
 #include "testing/reference_hom.h"
 #include "testing/reference_lp.h"
@@ -597,6 +598,8 @@ PropertyCheck CheckCoverGameProperties(const Database& from,
 
   CoverGameSolver solver_k(from, to, k);
   CoverGameSolver solver_k1(from, to, k + 1);
+  RefCoverGame reference_k(from, to, k);
+  RefCoverGame reference_k1(from, to, k + 1);
   // Completeness check only when the position set of k = |from| stays tiny.
   std::optional<CoverGameSolver> solver_full;
   if (from.size() >= 1 && from.size() <= 3) {
@@ -611,6 +614,17 @@ PropertyCheck CheckCoverGameProperties(const Database& from,
   for (Value a : a_sample) {
     for (Value b : b_sample) {
       bool wins = solver_k.Decide({a}, {b});
+      if (reference_k.Decide({a}, {b}) != wins) {
+        return Violation("covergame/kernel-vs-reference",
+                         "CoverGameSolver disagrees with RefCoverGame\n" +
+                             describe(a, b));
+      }
+      bool wins_k1 = solver_k1.Decide({a}, {b});
+      if (reference_k1.Decide({a}, {b}) != wins_k1) {
+        return Violation("covergame/kernel-vs-reference",
+                         "CoverGameSolver disagrees with RefCoverGame at "
+                         "k+1\n" + describe(a, b));
+      }
       if (solver_k.Decide({a}, {b}) != wins) {
         return Violation("covergame/idempotent",
                          "Decide changed its answer on a second call\n" +
@@ -621,7 +635,7 @@ PropertyCheck CheckCoverGameProperties(const Database& from,
                          "a fresh solver disagrees with the shared one\n" +
                              describe(a, b));
       }
-      if (solver_k1.Decide({a}, {b}) && !wins) {
+      if (wins_k1 && !wins) {
         return Violation(
             "covergame/monotone-k",
             "(from, a) ->_{k+1} (to, b) holds but ->_k fails\n" +
@@ -647,8 +661,14 @@ PropertyCheck CheckCoverGameProperties(const Database& from,
   if (a_sample.size() >= 2 && b_sample.size() >= 2) {
     std::vector<Value> a2 = {a_sample[0], a_sample[1]};
     std::vector<Value> b2 = {b_sample[0], b_sample[1]};
+    bool wins2 = solver_k.Decide(a2, b2);
+    if (reference_k.Decide(a2, b2) != wins2) {
+      return Violation("covergame/kernel-vs-reference",
+                       "CoverGameSolver disagrees with RefCoverGame on a "
+                       "pebble pair\n" + DescribeHomPair(from, to));
+    }
     if (RefHomomorphismExists(from, to, {{a2[0], b2[0]}, {a2[1], b2[1]}}) &&
-        !solver_k.Decide(a2, b2)) {
+        !wins2) {
       return Violation("covergame/hom-implies-win",
                        "a full homomorphism extends a pebble pair but "
                        "Duplicator loses\n" + DescribeHomPair(from, to));

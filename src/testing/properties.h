@@ -95,6 +95,9 @@ PropertyCheck CheckQbeProperties(const Database& db,
 
 /// Existential k-cover game laws on (from, to, k), over a bounded sample of
 /// pebble pairs from dom(from) × dom(to):
+///   - kernel vs reference: CoverGameSolver agrees with the round-robin
+///     fixpoint of RefCoverGame on every sampled pair at k and k+1, and on
+///     the two-pebble tuple at k;
 ///   - decide-twice idempotence and fresh-vs-shared-solver agreement;
 ///   - monotonicity: (from, ā) →_{k+1} (to, b̄) implies →_k (more GHW(k)
 ///     queries to satisfy at higher k);

@@ -3,7 +3,9 @@
 // pathological instance under a 10 ms deadline returns TimedOut within a
 // bounded wall-clock factor, interrupted serve requests never poison the
 // cache, an interrupted SolveCqmQbe sweep resumes to the uninterrupted
-// answer, and the fuzz loop itself honours a cancelled budget.
+// answer, a step limit interrupts the cover-game fixpoint mid-propagation
+// without ever yielding a wrong answer, and the fuzz loop itself honours a
+// cancelled budget.
 
 #include <chrono>
 #include <cstddef>
@@ -27,6 +29,7 @@
 #include "serve/eval_service.h"
 #include "test_util.h"
 #include "testing/corpus.h"
+#include "testing/faults.h"
 #include "testing/fuzz.h"
 #include "testing/instance.h"
 #include "util/budget.h"
@@ -145,6 +148,54 @@ TEST(CancellationTest, ExpiredDeadlineStopsCoverGameAtEntry) {
   Budgeted<bool> decision = solver.TryDecide({entities[0]}, {entities[1]});
   EXPECT_EQ(decision.outcome, BudgetOutcome::kTimedOut);
   EXPECT_FALSE(decision.ok());
+}
+
+TEST(CancellationTest, StepLimitsInterruptCoverGamePropagation) {
+  // "Starts a 4-path" separates p0 from q0 at width 1, but every position
+  // keeps strategies after the filter (the path also maps into the 3-cycle);
+  // Spoiler's win only shows once the fixpoint has walked the deletions
+  // down the path. Sweep every step limit up to an unbounded run's total:
+  // an interrupted decision is never an answer, a completed one is the
+  // unbudgeted answer.
+  Database from(GraphSchema());
+  std::vector<Value> p = AddPath(from, "p", 4);
+  Database to(GraphSchema());
+  std::vector<Value> q = AddPath(to, "q", 2);
+  AddCycle(to, "c", 3);
+  ExecutionBudget unbounded;
+  const bool truth =
+      CoverGameSolver(from, to, 1, &unbounded).Decide({p[0]}, {q[0]});
+  ASSERT_FALSE(truth);
+  const std::uint64_t total_steps = unbounded.steps();
+
+  // The fixpoint-round fault point sits inside the propagation loop: an
+  // armed fault that never fires counts how often the loop was entered.
+  FaultSpec never;
+  never.site = CoverageSite::kCoverFixpointRound;
+  never.trigger_visit = ~std::uint64_t{0};
+  bool tripped_in_propagation = false;
+  bool completed = false;
+  for (std::uint64_t limit = 1; limit <= total_steps; ++limit) {
+    ExecutionBudget budget = ExecutionBudget::WithStepLimit(limit);
+    CoverGameSolver solver(from, to, 1, &budget);
+    const bool built = !budget.Interrupted();
+    Budgeted<bool> decision;
+    {
+      ScopedFault counter(never, nullptr);
+      decision = solver.TryDecide({p[0]}, {q[0]});
+    }
+    if (decision.ok()) {
+      EXPECT_EQ(decision.value, truth) << "limit " << limit;
+      completed = true;
+      continue;
+    }
+    EXPECT_EQ(decision.outcome, BudgetOutcome::kBudgetExhausted)
+        << "limit " << limit;
+    if (built && FaultSiteVisits() > 0) tripped_in_propagation = true;
+  }
+  EXPECT_TRUE(completed) << "the unbounded run's step total did not suffice";
+  EXPECT_TRUE(tripped_in_propagation)
+      << "no step limit tripped inside the fixpoint propagation";
 }
 
 TEST(CancellationTest, ExpiredDeadlineStopsCqmQbeAtEntry) {

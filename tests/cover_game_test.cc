@@ -6,6 +6,7 @@
 
 #include "cq/homomorphism.h"
 #include "test_util.h"
+#include "testing/reference_cover_game.h"
 
 namespace featsep {
 namespace {
@@ -187,6 +188,43 @@ TEST(CoverGamePropertyTest, Transitivity) {
     }
   }
   EXPECT_GT(checked, 0) << "vacuous property test";
+}
+
+// Property test: the support-counting fixpoint agrees with the round-robin
+// reference on every pebble pair of random graph pairs, at k = 1 and 2.
+TEST(CoverGamePropertyTest, MatchesRoundRobinReference) {
+  std::mt19937_64 rng(47);
+  auto make = [&](const std::string& prefix, int nodes, int facts) {
+    Database db(GraphSchema());
+    RelationId e = db.schema().FindRelation("E");
+    for (int i = 0; i < facts; ++i) {
+      db.AddFact(e, {db.Intern(prefix + std::to_string(rng() % nodes)),
+                     db.Intern(prefix + std::to_string(rng() % nodes))});
+    }
+    return db;
+  };
+  int wins = 0;
+  int losses = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    Database a = make("a", 5, 6);
+    Database b = make("b", 4, 5);
+    for (std::size_t k : {1u, 2u}) {
+      CoverGameSolver solver(a, b, k);
+      testing::RefCoverGame reference(a, b, k);
+      EXPECT_EQ(solver.Decide({}, {}), reference.Decide({}, {}));
+      for (Value u : a.domain()) {
+        for (Value v : b.domain()) {
+          bool won = solver.Decide({u}, {v});
+          EXPECT_EQ(won, reference.Decide({u}, {v}))
+              << "trial " << trial << " k=" << k << " pebbles "
+              << a.value_name(u) << " -> " << b.value_name(v);
+          ++(won ? wins : losses);
+        }
+      }
+    }
+  }
+  EXPECT_GT(wins, 0);
+  EXPECT_GT(losses, 0);
 }
 
 TEST(CoverGameTest, SolverStatisticsExposed) {

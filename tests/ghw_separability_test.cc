@@ -216,6 +216,8 @@ TEST(GhwApxTest, Algorithm2RecoversFromASingleFlip) {
   auto labeling = GhwApxClassify(training, 1, 1.0 / 6.0, eval);
   ASSERT_TRUE(labeling.has_value());
   EXPECT_EQ(labeling->Get(nodes[0]), kPositive);
+  // Below the minimal error rate there is nothing to classify with.
+  EXPECT_FALSE(GhwApxClassify(training, 1, 0.0, eval).has_value());
 }
 
 TEST(GhwApxTest, Algorithm2IsOptimalAgainstExhaustiveSearch) {
